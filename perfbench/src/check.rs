@@ -156,6 +156,19 @@ struct DesignState {
     template: SessionTemplate,
 }
 
+impl DesignState {
+    /// Lowers `design`'s RTL, simulates it under stimulus from `seed`, and
+    /// maps it into a template of the checker's own.
+    fn new(design: &GeneratedDesign, seed: u64) -> Result<Self, String> {
+        let rtl = design.netlist();
+        let reference = Reference::new(&rtl, seed)?;
+        let template = SessionBuilder::new(rtl, chatls_liberty::nangate45())
+            .template()
+            .map_err(|e| format!("{}: mapping failed: {e}", design.name))?;
+        Ok(DesignState { reference, template })
+    }
+}
+
 /// The checker's findings for one design.
 #[derive(Default)]
 pub struct DesignCheck {
@@ -239,14 +252,8 @@ pub fn check_all(
             s.spawn(|| {
                 while let Some(&(d, item)) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
                     let design = &designs[d];
-                    let state = states[&d].get_or_init(|| {
-                        let rtl = design.netlist();
-                        let reference = Reference::new(&rtl, seed ^ d as u64)?;
-                        let template = SessionBuilder::new(rtl, chatls_liberty::nangate45())
-                            .template()
-                            .map_err(|e| format!("{}: mapping failed: {e}", design.name))?;
-                        Ok(DesignState { reference, template })
-                    });
+                    let state =
+                        states[&d].get_or_init(|| DesignState::new(design, seed ^ d as u64));
                     let state = match state {
                         Ok(s) => s,
                         Err(e) => {
@@ -283,17 +290,22 @@ pub fn check_all(
 
 /// Plants one fault of each kind the checker looks for and confirms it
 /// is caught: a gate whose function changes (AND↔OR and kin, trying
-/// seeded gates until one is observable), one flipped QoR bit and one
-/// changed clock period. Returns a one-line summary.
-pub fn self_test(design: &GeneratedDesign, script: &str, seed: u64) -> Result<String, String> {
-    let rtl = design.netlist();
-    let mut session = SessionBuilder::new(rtl.clone(), chatls_liberty::nangate45())
-        .session()
-        .map_err(|e| e.to_string())?;
-    session.run_script(script);
-    let good = live_netlist(session.design());
-    let reference = Reference::new(&rtl, seed)?;
-    reference.check(&good).map_err(|e| format!("self-test baseline: {e}"))?;
+/// seeded gates until one is observable) against the RTL reference, and a
+/// served result with one flipped QoR bit and a customized script with a
+/// changed clock period, both through [`verdict`]. The probe is the
+/// design's baseline script served as a customized one. Returns a one-line
+/// summary.
+pub fn self_test(design: &GeneratedDesign, seed: u64) -> Result<String, String> {
+    let state = DesignState::new(design, seed)?;
+    let script = baseline_script(design.default_period);
+    let script = script.as_str();
+    let (_, qor, good) = rerun(&state.template, script);
+    let served = |qor: QorReport| Served { qor, ok: None, final_lint_errors: Some(0) };
+    let clean = verdict(design, &state, script, &served(qor.clone()));
+    if !clean.faults.is_empty() {
+        return Err(format!("self-test baseline: {}", clean.faults.join("; ")));
+    }
+
     let mut rng = StdRng::seed_from_u64(seed);
     let flippable: Vec<usize> =
         (0..good.gates.len()).filter(|&g| flipped(good.gates[g].kind).is_some()).collect();
@@ -303,21 +315,28 @@ pub fn self_test(design: &GeneratedDesign, script: &str, seed: u64) -> Result<St
         let mut bad = good.clone();
         let g = flippable[rng.gen_range(0..flippable.len())];
         bad.gates[g].kind = flipped(bad.gates[g].kind).expect("flippable");
-        reference.check(&bad).is_err()
+        state.reference.check(&bad).is_err()
     });
     if caught.is_none() {
         return Err(format!("self-test: no gate-function change caught in {tried} tries"));
     }
-    let qor = session.qor();
+
     let mut bad_qor = qor.clone();
     bad_qor.area = f64::from_bits(bad_qor.area.to_bits() ^ 1);
-    if same_qor(&qor, &bad_qor) {
+    let v = verdict(design, &state, script, &served(bad_qor));
+    if !v.faults.iter().any(|f| f.starts_with("served QoR")) {
         return Err("self-test: a flipped QoR bit went unnoticed".into());
     }
+
     let period = design.default_period;
     let stretched =
         script.replace(&format!("-period {period:.3}"), &format!("-period {:.3}", period * 1.1));
-    if stretched == script || customized_script_faults(&stretched, period, 0).is_empty() {
+    if stretched == script {
+        return Err("self-test: the script sets no clock period to change".into());
+    }
+    let (_, stretched_qor, _) = rerun(&state.template, &stretched);
+    let v = verdict(design, &state, &stretched, &served(stretched_qor));
+    if !v.faults.iter().any(|f| f.contains("clock period")) {
         return Err("self-test: a changed clock period went unnoticed".into());
     }
     Ok(format!(
@@ -345,8 +364,7 @@ mod tests {
     #[test]
     fn checker_self_test_catches_every_planted_fault() {
         let design = chatls_designs::by_name("aes").unwrap();
-        let script = baseline_script(design.default_period);
-        let summary = self_test(&design, &script, 7).unwrap();
+        let summary = self_test(&design, 7).unwrap();
         assert!(summary.contains("caught"), "{summary}");
     }
 }

@@ -21,7 +21,6 @@ mod trace;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -32,8 +31,8 @@ use check::Served;
 use daemon::Daemon;
 use inputs::{Item, Kind, Plan, Workload};
 
-/// Daemon launches per run; `setup_s` takes the median launch.
-const SETUP_LAUNCHES: usize = 3;
+/// Set-up rounds (launch plus priming) per run; `setup_s` is their median.
+const SETUP_ROUNDS: usize = 3;
 
 struct Args {
     daemon: PathBuf,
@@ -82,52 +81,30 @@ struct Outcome {
     body: String,
 }
 
-/// Sends `items` over `clients` closed-loop clients; each client sends its
-/// next request only once the previous answer is in.
-fn send_all(daemon: &Daemon, items: &[Item], clients: usize) -> Vec<Outcome> {
-    let next = AtomicUsize::new(0);
-    let out = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|s| {
-        for _ in 0..clients {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let started = Instant::now();
-                let answer = daemon.post(item.path(), item.body());
-                let latency_ms = started.elapsed().as_secs_f64() * 1e3;
-                out.lock().unwrap().push(Outcome {
-                    item: i,
-                    status: answer.status,
-                    latency_ms,
-                    body: answer.body,
-                });
-            });
-        }
-    });
-    out.into_inner().unwrap()
-}
-
-/// The shared request stream of the timed window.
-struct Feed<'p> {
-    plan: &'p mut Plan,
+/// The request stream the clients share.
+struct Feed<R> {
     items: Vec<Item>,
     next: usize,
     passes: usize,
+    refill: R,
 }
 
-/// Runs the timed window: `clients` closed-loop clients take requests in
-/// order from whole passes of `plan`; no new pass starts once `seconds`
-/// have passed and [`Workload::min_passes`] are done. Returns the window
-/// (first send to last answer), the items, the outcomes and the passes.
-fn drive(
+/// Sends `first`, then each further pass `refill(pass, elapsed)` yields,
+/// over `clients` closed-loop clients: each client sends its next request
+/// only once the previous answer is in, and clients draw from the shared
+/// stream in order with no barrier between passes. Stops once `refill`
+/// yields `None`. Returns the elapsed time (first send to last answer),
+/// the items, the outcomes and the passes sent.
+fn drive<R>(
     daemon: &Daemon,
-    plan: &mut Plan,
-    seconds: u64,
+    first: Vec<Item>,
     clients: usize,
-) -> (Duration, Vec<Item>, Vec<Outcome>, usize) {
-    let min_passes = plan.workload.min_passes();
-    let first = plan.pass(0);
-    let feed = Mutex::new(Feed { plan, items: first, next: 0, passes: 1 });
+    refill: R,
+) -> (Duration, Vec<Item>, Vec<Outcome>, usize)
+where
+    R: FnMut(usize, Duration) -> Option<Vec<Item>> + Send,
+{
+    let feed = Mutex::new(Feed { items: first, next: 0, passes: 1, refill });
     let out = Mutex::new(Vec::new());
     let started = Instant::now();
     std::thread::scope(|s| {
@@ -136,15 +113,11 @@ fn drive(
                 let (i, path, body) = {
                     let mut f = feed.lock().unwrap();
                     if f.next == f.items.len() {
-                        if f.passes >= min_passes
-                            && started.elapsed().as_secs_f64() >= seconds as f64
-                        {
-                            break;
-                        }
                         let pass = f.passes;
-                        let batch = f.plan.pass(pass);
+                        let Some(batch) = (f.refill)(pass, started.elapsed()) else { break };
                         f.items.extend(batch);
                         f.passes += 1;
+                        continue;
                     }
                     let i = f.next;
                     f.next += 1;
@@ -162,9 +135,9 @@ fn drive(
             });
         }
     });
-    let window = started.elapsed();
+    let elapsed = started.elapsed();
     let feed = feed.into_inner().unwrap();
-    (window, feed.items, out.into_inner().unwrap(), feed.passes)
+    (elapsed, feed.items, out.into_inner().unwrap(), feed.passes)
 }
 
 fn qor_of(v: &serde_json::Value) -> Option<QorReport> {
@@ -245,33 +218,36 @@ fn run(args: Args) -> Result<(), String> {
     let mut plan = Plan::new(workload, args.seed, inputs::catalog());
     let designs = plan.designs.clone();
 
-    // Set-up: launch (several times, keeping the last daemon), then prime.
-    let mut launches = Vec::new();
+    // Set-up: launch and prime, several times, keeping the last daemon.
+    let mut setups = Vec::new();
     let mut daemon = None;
-    for _ in 0..SETUP_LAUNCHES {
+    for _ in 0..SETUP_ROUNDS {
         if let Some(d) = daemon.take() {
             Daemon::stop(d)?;
         }
         let started = Instant::now();
-        daemon = Some(Daemon::launch(&args.daemon, threads, &daemon_dir)?);
-        launches.push(started.elapsed().as_secs_f64());
-    }
-    let daemon = daemon.expect("at least one launch");
-    let priming = plan.priming();
-    let started = Instant::now();
-    for o in send_all(&daemon, &priming, threads) {
-        if o.status != 200 {
+        let d = Daemon::launch(&args.daemon, threads, &daemon_dir)?;
+        let (_, _, primed, _) = drive(&d, plan.priming(), threads, |_, _| None);
+        setups.push(started.elapsed().as_secs_f64());
+        if let Some(o) = primed.iter().find(|o| o.status != 200) {
             return Err(format!("priming request answered {}: {}", o.status, o.body));
         }
+        daemon = Some(d);
     }
-    let setup_s = stats::median(&launches) + started.elapsed().as_secs_f64();
+    let daemon = daemon.expect("at least one set-up round");
+    let setup_s = stats::median(&setups);
 
-    // The timed window: whole passes until --seconds have passed. Clients
-    // draw from one shared stream with no barrier between passes; the pass
-    // in progress when time is up is finished.
+    // The timed window: whole passes until --seconds have passed and
+    // [`Workload::min_passes`] are done; the pass in progress when time is
+    // up is finished.
     let before = daemon.metrics()?;
     let cpu_before = daemon.cpu_seconds()?;
-    let (window, items, outcomes, passes) = drive(&daemon, &mut plan, args.seconds, clients);
+    let min_passes = workload.min_passes();
+    let seconds = Duration::from_secs(args.seconds);
+    let first = plan.pass(0);
+    let (window, items, outcomes, passes) = drive(&daemon, first, clients, |pass, elapsed| {
+        (pass < min_passes || elapsed < seconds).then(|| plan.pass(pass))
+    });
     let cpu_s = daemon.cpu_seconds()? - cpu_before;
     let peak_rss_mib = daemon.peak_rss_mib()?;
     let after = daemon.metrics()?;
@@ -289,12 +265,12 @@ fn run(args: Args) -> Result<(), String> {
         let d = item.design();
         if !(200..300).contains(&o.status) {
             failed[k] = true;
-            eprintln!(
-                "perfbench: request {} answered {}: {}",
+            faults.push(format!(
+                "request {} answered {}: {}",
                 o.item,
                 o.status,
                 o.body.chars().take(200).collect::<String>()
-            );
+            ));
             continue;
         }
         let pairs = match parse_answer(&plan, item, &o.body) {
@@ -348,12 +324,8 @@ fn run(args: Args) -> Result<(), String> {
             }
         }
     }
-    let probe = results
-        .iter()
-        .min_by_key(|(d, _)| designs[**d].source.len())
-        .map(|(d, r)| (*d, r.iter().map(|(s, _)| s.clone()).min().expect("non-empty")));
-    match probe {
-        Some((d, script)) => match check::self_test(&designs[d], &script, args.seed) {
+    match results.keys().min_by_key(|d| designs[**d].source.len()) {
+        Some(&d) => match check::self_test(&designs[d], args.seed) {
             Ok(summary) => eprintln!("perfbench: {summary}"),
             Err(e) => faults.push(e),
         },
@@ -363,7 +335,7 @@ fn run(args: Args) -> Result<(), String> {
         eprintln!("perfbench: check failed: {f}");
     }
     eprintln!(
-        "perfbench: set-up {setup_s:.2} s, timed window {:.2} s, checks {:.2} s ({} distinct results)",
+        "perfbench: set-up {setup_s:.2} s (rounds {setups:.2?}), timed window {:.2} s, checks {:.2} s ({} distinct results)",
         window.as_secs_f64(),
         check_started.elapsed().as_secs_f64(),
         seen.len()

@@ -1,17 +1,14 @@
 #!/usr/bin/env python3
-"""Steadiness check: runs one workload several times with different seeds
-and prints, per metric, the median, the quartiles and the spread (distance
-between the quartiles as a share of the median) against the metric's bound
-in BENCHMARK.json.
+"""Steadiness check: runs one workload several times, with seeds 1, 2, ...,
+for BENCHMARK.json's run_seconds each, and prints, per end-to-end metric,
+the median, the quartiles and the spread (distance between the quartiles as
+a share of the median) against the metric's bound.
 
-    python3 perfbench/steady.py --workload <name> [--runs 10] [--first-seed 1]
-        [--seconds <s>] [--trace 0|1]
+    python3 perfbench/steady.py --workload <name> [--runs 10]
 
 Run it from the repository root. A spread above a third of its bound is
-flagged "wide"; above the bound, "OVER". The share of failed operations
-must be the same in every run. setup_s is reported but has no spread
-limit. Exits 1 if a run fails, a spread is over its bound or the failed
-share differs between runs.
+flagged "wide"; above the bound, "OVER". Exits 1 if a run fails, reports
+an incorrect output or a failed operation, or a spread is over its bound.
 """
 
 import argparse
@@ -29,46 +26,38 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True)
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    ap.add_argument("--trace", choices=["0", "1"], default="0")
     args = ap.parse_args()
-    metrics = spec["end_to_end"] if args.trace == "0" else spec["per_layer"]
-    bounds = {m["name"]: m.get("bound") for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     values = {name: [] for name in bounds}
-    shares = []
-    for i in range(args.runs):
-        seed = args.first_seed + i
+    bad = False
+    for seed in range(1, args.runs + 1):
         cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", args.workload,
-               "--seed", str(seed), "--seconds", str(args.seconds), "--trace", args.trace]
+               "--seed", str(seed), "--seconds", str(spec["run_seconds"]), "--trace", "0"]
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
         if proc.returncode != 0:
             print(f"run with seed {seed} failed (exit {proc.returncode})")
             return 1
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        shares.append(result["failed"] / result["attempted"])
+        if not result["correct"] or result["failed"] > 0:
+            bad = True
         print(f"seed {seed}: correct={result['correct']} attempted={result['attempted']} "
               f"failed={result['failed']}", flush=True)
         for name in values:
             values[name].append(result["metrics"][name]["value"])
 
-    bad = len(set(shares)) > 1
-    print(f"\n{args.workload}: {args.runs} runs, failed share "
-          f"{'differs between runs' if bad else 'identical in every run'}")
-    print(f"{'metric':36} {'median':>12} {'q1':>12} {'q3':>12} {'spread':>8} {'bound':>6}")
+    print(f"\n{args.workload}: {args.runs} runs")
+    print(f"{'metric':20} {'median':>12} {'q1':>12} {'q3':>12} {'spread':>8} {'bound':>6}")
     for name, vals in values.items():
         q1, med, q3 = statistics.quantiles(vals, n=4)
         spread = (q3 - q1) / abs(med) if med else float("inf") if q3 != q1 else 0.0
         bound = bounds[name]
         flag = ""
-        if bound is not None and name != "setup_s":
-            if spread > bound:
-                flag, bad = "OVER", True
-            elif spread > bound / 3:
-                flag = "wide"
-        shown = "-" if bound is None else f"{bound:.2f}"
-        print(f"{name:36} {med:12.4f} {q1:12.4f} {q3:12.4f} {spread:8.3f} {shown:>6} {flag}")
+        if spread > bound:
+            flag, bad = "OVER", True
+        elif spread > bound / 3:
+            flag = "wide"
+        print(f"{name:20} {med:12.4f} {q1:12.4f} {q3:12.4f} {spread:8.3f} {bound:6.2f} {flag}")
     return 1 if bad else 0
 
 
